@@ -8,13 +8,14 @@
 //! `CARGO_BIN_EXE_ssj-node`, so these tests need no manual setup and run
 //! on ephemeral loopback ports (the launcher binds 127.0.0.1:0).
 
-use ssj_core::{JoinConfig, Window};
-use ssj_distrib::{ClusterBackend, LocalAlgo, PartitionMethod, Strategy};
+use ssj_core::{JoinConfig, MatchPair, Window};
+use ssj_distrib::{ClusterBackend, ClusterResult, LocalAlgo, PartitionMethod, Strategy};
 use std::path::PathBuf;
 use std::time::Duration;
 use testkit::{
-    cluster_config_for, run_cluster_differential, run_cluster_restore_differential, sorted_keys,
-    with_deadline, DifferentialCase,
+    assert_pairs_equal, cluster_config_for, differential_records, run_cluster_differential,
+    run_cluster_restore_differential, self_join_surviving, sorted_keys, with_deadline,
+    DifferentialCase,
 };
 
 /// Hard per-test timeout: the self-healing failure mode under test is
@@ -324,4 +325,100 @@ fn tcp_golden_digests_match_in_process_and_replay_exactly() {
     assert_eq!(tcp_a, tcp_b, "TCP replay diverged under logical time");
     assert_eq!(tcp_a, inproc, "TCP and in-process transcripts diverged");
     assert_eq!(tcp_a.len(), case.k);
+}
+
+/// A retransmission timeout far beyond [`TEST_DEADLINE`]. With it, a frame
+/// left in the launcher's write batch is never rescued by a retransmit, so
+/// a launcher that waits without flushing first hangs into the deadline
+/// panic instead of merely running slow.
+const NO_RETRY: Duration = Duration::from_secs(3600);
+
+/// Runs `case` with the launcher's in-flight cap at `capacity` on `backend`,
+/// with retransmission out of reach, and checks the pairs against the
+/// oracle over the records that were not shed.
+fn run_capped(
+    seed: u64,
+    case: &DifferentialCase,
+    capacity: usize,
+    backend: ClusterBackend,
+) -> ClusterResult {
+    let records = differential_records(seed, case.records);
+    let mut cfg = cluster_config_for(seed, case, backend);
+    cfg.channel_capacity = capacity;
+    cfg.retry.base_timeout = NO_RETRY;
+    cfg.retry.max_timeout = NO_RETRY;
+    let out = ssj_distrib::run_cluster(&records, &cfg);
+    let expect = self_join_surviving(&records, &case.join, &out.shed_records);
+    assert_pairs_equal(seed, &out.pairs, expect, &format!("capacity {capacity}"));
+    out
+}
+
+#[test]
+fn tcp_launcher_flushes_before_every_backpressure_wait() {
+    // Every cap is below the batcher's 32-frame threshold, so the frames
+    // a full wire waits on are still batched unless the launcher flushes
+    // before it waits.
+    with_deadline(TEST_DEADLINE, || {
+        for capacity in [1, 3, 31] {
+            let tcp = run_capped(59, &base_case(), capacity, tcp_backend());
+            let inproc = run_capped(59, &base_case(), capacity, ClusterBackend::InProcess);
+            assert!(!tcp.pairs.is_empty(), "capacity {capacity}: no pairs");
+            assert_eq!(
+                sorted_keys(&tcp.pairs),
+                sorted_keys(&inproc.pairs),
+                "capacity {capacity}: TCP and in-process diverged"
+            );
+        }
+    });
+}
+
+#[test]
+fn tcp_launcher_sheds_exactly_under_the_flush_policy() {
+    // A watermark below both the cap and the batch threshold: the launcher
+    // sheds instead of waiting, with the backlog it gives up on pushed out
+    // first. Which records are shed is timing-driven; the answer over the
+    // rest must stay exact and the run must finish.
+    with_deadline(TEST_DEADLINE, || {
+        let mut case = base_case().with_shedding(30);
+        case.records = 600;
+        let tcp = run_capped(61, &case, 31, tcp_backend());
+        let inproc = run_capped(61, &case, 31, ClusterBackend::InProcess);
+        // The first 30 records can never be shed, and they hold pairs.
+        assert!(
+            !tcp.pairs.is_empty(),
+            "no surviving pairs — test is vacuous"
+        );
+        // Shedding is timing-driven, so the two backends shed different
+        // records; on the records both kept, they must agree exactly.
+        let kept_by_both = |pairs: &[MatchPair]| {
+            let shed =
+                |id: u64| tcp.shed_records.contains(&id) || inproc.shed_records.contains(&id);
+            let kept: Vec<MatchPair> = pairs
+                .iter()
+                .filter(|p| !shed(p.earlier.0) && !shed(p.later.0))
+                .copied()
+                .collect();
+            sorted_keys(&kept)
+        };
+        assert_eq!(kept_by_both(&tcp.pairs), kept_by_both(&inproc.pairs));
+    });
+}
+
+#[test]
+fn tcp_launcher_coalesces_frames_into_few_writes() {
+    // Structural gate on the flush policy, independent of wall-clock
+    // timing: a launcher that flushed after every dispatched record would
+    // write about one frame per batch here.
+    with_deadline(TEST_DEADLINE, || {
+        let mut case = base_case();
+        case.records = 3000;
+        let tcp = run_cluster_differential(67, &case, tcp_backend()).result;
+        let ratio = tcp.wire_frames as f64 / tcp.wire_writes.max(1) as f64;
+        assert!(
+            ratio >= 4.0,
+            "launcher wrote {} frames in {} batches ({ratio:.2} per write)",
+            tcp.wire_frames,
+            tcp.wire_writes
+        );
+    });
 }

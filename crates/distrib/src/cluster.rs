@@ -54,6 +54,16 @@
 //! socket reader, which closes the kernel receive window, so pressure is
 //! real end to end.
 //!
+//! Both ends follow one flush rule: **flush only before blocking**. Sends
+//! go into the wire's write batch, which writes on its own once it holds
+//! 32 frames or 64 KiB. The launcher flushes every wire before it waits —
+//! a full in-flight window, the end-of-stream drain, the wait for `Done`
+//! — and flushes the target wires before it sheds a record; handshake,
+//! `Eos`, heartbeat, respawn and retransmission waves flush at once. A
+//! node flushes whenever its inbound queue runs dry. No end ever waits on
+//! a reply to a frame still sitting in its own batch, and a run of small
+//! frames shares one `write` instead of paying one each.
+//!
 //! # Determinism over real sockets — what holds and what cannot
 //!
 //! With [`ClusterConfig::logical_time`] set, ingest/barrier stamps come
@@ -95,7 +105,10 @@ use crate::driver::{build_router, prepare_restore, DistributedJoinConfig, LocalA
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::recovery::{RecoveryState, ReplayEntry};
 use crate::route::Router;
-use crate::wire::{send_frame, Frame, NodeConfig, NodeReport, MIN_PROTO_VERSION, PROTO_VERSION};
+use crate::wire::{
+    encode_data, seal_if, send_frame, Frame, NodeConfig, NodeReport, MIN_PROTO_VERSION,
+    PROTO_VERSION,
+};
 
 /// How joiner tasks are hosted.
 #[derive(Debug, Clone)]
@@ -354,6 +367,13 @@ pub struct ClusterResult {
     pub dup_results_dropped: u64,
     /// Frames retransmitted by the at-least-once layer.
     pub retransmissions: u64,
+    /// Frames the launcher sent over all its wires (respawned
+    /// incarnations included): data, retransmissions and control.
+    pub wire_frames: u64,
+    /// Write batches those frames went out in. `wire_frames / wire_writes`
+    /// is the coalescing factor; in-process wires write every frame on its
+    /// own, so there the two are equal.
+    pub wire_writes: u64,
     /// Checkpoint epochs committed during the run.
     pub epochs_committed: u64,
     /// Launcher-side per-stage latencies (route, dispatch, deliver,
@@ -396,7 +416,7 @@ impl ClusterResult {
     /// `RunReport::metrics_snapshot`.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        let counters: [(&str, &str, u64); 17] = [
+        let counters: [(&str, &str, u64); 19] = [
             (
                 "dssj_cluster_pairs_total",
                 "Distinct verified result pairs",
@@ -421,6 +441,16 @@ impl ClusterResult {
                 "dssj_cluster_retransmissions_total",
                 "Frames retransmitted by the at-least-once layer",
                 self.retransmissions,
+            ),
+            (
+                "dssj_cluster_wire_frames_total",
+                "Frames the launcher sent over its wires",
+                self.wire_frames,
+            ),
+            (
+                "dssj_cluster_wire_writes_total",
+                "Write batches the launcher's outbound frames went out in",
+                self.wire_writes,
             ),
             (
                 "dssj_cluster_epochs_committed_total",
@@ -885,7 +915,8 @@ struct NodeLink {
     chaos: Option<ChaosLink>,
     incarnation: u64,
     restored_from_epoch: Option<u64>,
-    /// FNV-1a over first-transmission data-frame bytes, in seq order.
+    /// FNV-1a over first-transmission data-frame bytes, in seq order;
+    /// folded only under logical time, the one mode that reports it.
     digest: u64,
     eos_sent: bool,
     done: Option<NodeReport>,
@@ -984,6 +1015,10 @@ struct Launcher<'a> {
     // Metrics and control.
     stages: StageProfile,
     retransmissions: u64,
+    /// Outbound frames and write batches of retired wires (see
+    /// [`ClusterResult::wire_frames`]).
+    wire_frames: u64,
+    wire_writes: u64,
     shed_log: Vec<u64>,
     /// Epoch publications already forwarded to the coordinator — a
     /// restarted node reprocessing a barrier re-sends its snapshot, and
@@ -1029,6 +1064,8 @@ impl<'a> Launcher<'a> {
             latency: LatencyHistogram::new(),
             stages: StageProfile::new(),
             retransmissions: 0,
+            wire_frames: 0,
+            wire_writes: 0,
             shed_log: Vec::new(),
             published: FxHashSet::default(),
             fault_armed: cfg.fault,
@@ -1217,7 +1254,7 @@ impl<'a> Launcher<'a> {
         // Teardown: closing the wires releases the lingering nodes.
         let mut joiners = Vec::new();
         let mut digests = Vec::new();
-        for (task, link) in self.links.drain(..).enumerate() {
+        for (task, link) in std::mem::take(&mut self.links).into_iter().enumerate() {
             if let Some(chaos) = &link.chaos {
                 let (stalled, dropped) = chaos.outage_counters();
                 self.health_report.stalled_frames += stalled;
@@ -1241,7 +1278,7 @@ impl<'a> Launcher<'a> {
                 restored_from_epoch: link.restored_from_epoch,
             });
             digests.push(link.digest);
-            drop(link.wire);
+            self.retire_wire(link.wire);
             match link.proc {
                 NodeProc::Thread(Some(handle)) => {
                     let _ = handle.join();
@@ -1266,6 +1303,8 @@ impl<'a> Launcher<'a> {
             restored_cut,
             dup_results_dropped: self.dup_results_dropped,
             retransmissions: self.retransmissions,
+            wire_frames: self.wire_frames,
+            wire_writes: self.wire_writes,
             epochs_committed: self
                 .checkpoint
                 .as_ref()
@@ -1397,6 +1436,12 @@ impl<'a> Launcher<'a> {
                 .max()
                 .unwrap_or(0);
             if depth >= watermark {
+                // Shedding gives up on the backlog like a wait would, so
+                // the backlog goes out first: frames still batched here
+                // can never be acked.
+                for &t in decision.index.iter().chain(decision.probe.iter()) {
+                    let _ = self.links[t].wire.flush();
+                }
                 self.shed_log.push(id);
                 return;
             }
@@ -1501,25 +1546,19 @@ impl<'a> Launcher<'a> {
     }
 
     /// Assigns the next sequence number, records the frame as in-flight,
-    /// folds its bytes into the wire digest, and transmits. The digest
-    /// folds the *unsealed* frame bytes, so golden digests are identical
-    /// whether or not the link negotiated checksums.
+    /// folds its bytes into the wire digest (under logical time, the only
+    /// mode that reports it), and transmits. The digest folds the
+    /// *unsealed* frame bytes, so golden digests are identical whether or
+    /// not the link negotiated checksums.
     fn send_data(&mut self, task: usize, msg: JoinMsg, record_meta: Option<(u64, u64)>) {
         let link = &mut self.links[task];
         let seq = link.next_seq;
         link.next_seq += 1;
-        let unsealed = Frame::Data {
-            seq,
-            msg: msg.clone(),
+        let unsealed = encode_data(seq, &msg).expect("data frames are always encodable");
+        if self.cfg.logical_time {
+            link.digest = fnv1a(link.digest, &unsealed);
         }
-        .encode()
-        .expect("data frames are always encodable");
-        link.digest = fnv1a(link.digest, &unsealed);
-        let frame = if link.checksums {
-            stormlite::seal(unsealed)
-        } else {
-            unsealed
-        };
+        let frame = seal_if(unsealed, link.checksums);
         link.unacked.insert(
             seq,
             PendingFrame {
@@ -1563,13 +1602,20 @@ impl<'a> Launcher<'a> {
     /// Drains every wire's inbound queue, then handles any death or
     /// supervised kill noticed along the way. With `idle_wait` nonzero
     /// and nothing received, sleeps briefly to avoid a hot spin.
+    ///
+    /// Outbound frames are flushed only when `idle_wait` is nonzero: the
+    /// launcher is about to wait on the nodes, so everything they could
+    /// answer must be on the wire first. A non-blocking pump leaves the
+    /// wire's batcher to decide when to write.
     fn pump(&mut self, idle_wait: Duration) {
         let mut got = false;
         for task in 0..self.links.len() {
             if self.links[task].fenced {
                 continue;
             }
-            let _ = self.links[task].wire.flush();
+            if !idle_wait.is_zero() {
+                let _ = self.links[task].wire.flush();
+            }
             // A two-way partition also cuts the inbound direction: frames
             // that arrive while the window is active are held in order and
             // released once it heals, so the node looks silent without
@@ -1788,7 +1834,9 @@ impl<'a> Launcher<'a> {
         true
     }
 
-    /// Retransmits overdue unacked frames with exponential backoff.
+    /// Retransmits overdue unacked frames with exponential backoff, and
+    /// flushes the wire after a retransmission wave: an overdue frame has
+    /// waited long enough, whatever the batcher's thresholds say.
     fn service_timers(&mut self) {
         let retry = self.cfg.retry;
         for task in 0..self.links.len() {
@@ -1800,25 +1848,19 @@ impl<'a> Launcher<'a> {
                 if age >= backoff(&retry, p.retries) {
                     p.last_sent = now;
                     p.retries += 1;
-                    let frame = Frame::Data {
-                        seq,
-                        msg: p.msg.clone(),
-                    }
-                    .encode()
-                    .expect("data frames are always encodable");
-                    let frame = if checksums {
-                        stormlite::seal(frame)
-                    } else {
-                        frame
-                    };
-                    resend.push((frame, age));
+                    let frame = encode_data(seq, &p.msg).expect("data frames are always encodable");
+                    resend.push((seal_if(frame, checksums), age));
                 }
+            }
+            if resend.is_empty() {
+                continue;
             }
             for (frame, age) in resend {
                 self.retransmissions += 1;
                 self.stages.record(Stage::Retry, age);
                 self.transmit(task, frame);
             }
+            let _ = self.links[task].wire.flush();
         }
     }
 
@@ -1846,12 +1888,7 @@ impl<'a> Launcher<'a> {
                 }
                 .encode()
                 .expect("heartbeats are always encodable");
-                let frame = if self.links[task].checksums {
-                    stormlite::seal(frame)
-                } else {
-                    frame
-                };
-                self.transmit_control(task, frame);
+                self.transmit_control(task, seal_if(frame, self.links[task].checksums));
                 let _ = self.links[task].wire.flush();
             }
             let silent = now.duration_since(self.links[task].last_seen);
@@ -2052,7 +2089,7 @@ impl<'a> Launcher<'a> {
         let (wire, proc_) = self.spawn_one(task);
         let old_wire = std::mem::replace(&mut self.links[task].wire, wire);
         self.links[task].proc = proc_;
-        drop(old_wire);
+        self.retire_wire(old_wire);
         if let Some(handle) = old_thread {
             let _ = handle.join();
         }
@@ -2119,17 +2156,8 @@ impl<'a> Launcher<'a> {
             .unacked
             .iter()
             .map(|(&seq, p)| {
-                let f = Frame::Data {
-                    seq,
-                    msg: p.msg.clone(),
-                }
-                .encode()
-                .expect("data frames are always encodable");
-                if checksums {
-                    stormlite::seal(f)
-                } else {
-                    f
-                }
+                let f = encode_data(seq, &p.msg).expect("data frames are always encodable");
+                seal_if(f, checksums)
             })
             .collect();
         let now = Instant::now();
@@ -2144,6 +2172,13 @@ impl<'a> Launcher<'a> {
             let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos, checksums);
         }
         let _ = self.links[task].wire.flush();
+    }
+
+    /// Closes a wire, adding its outbound counters to the run totals.
+    fn retire_wire(&mut self, wire: Box<dyn Wire>) {
+        let (frames, writes) = wire.write_counters();
+        self.wire_frames += frames;
+        self.wire_writes += writes;
     }
 
     fn send_restore(&mut self, task: usize, entries: &[SnapshotEntry]) {

@@ -515,11 +515,7 @@ impl Frame {
                 out.push(u8::from(cfg.dedup));
                 put_u64(&mut out, cfg.resume_seq);
             }
-            Frame::Data { seq, msg } => {
-                out.push(TAG_DATA);
-                put_u64(&mut out, *seq);
-                encode_join_msg(&mut out, msg)?;
-            }
+            Frame::Data { seq, msg } => put_data(&mut out, *seq, msg)?,
             Frame::Ack { seq } => {
                 out.push(TAG_ACK);
                 put_u64(&mut out, *seq);
@@ -699,6 +695,31 @@ impl Frame {
     }
 }
 
+fn put_data(out: &mut Vec<u8>, seq: u64, msg: &JoinMsg) -> io::Result<()> {
+    out.push(TAG_DATA);
+    put_u64(out, seq);
+    encode_join_msg(out, msg)
+}
+
+/// Encodes `Frame::Data { seq, msg }` from a borrowed message: the same
+/// bytes as [`Frame::encode`], without cloning the record to build the
+/// frame first.
+pub(crate) fn encode_data(seq: u64, msg: &JoinMsg) -> io::Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(64);
+    put_data(&mut out, seq, msg)?;
+    Ok(out)
+}
+
+/// Appends the CRC32C trailer when `checksums` was negotiated for the
+/// link; otherwise returns the encoded frame unchanged.
+pub(crate) fn seal_if(frame: Vec<u8>, checksums: bool) -> Vec<u8> {
+    if checksums {
+        stormlite::seal(frame)
+    } else {
+        frame
+    }
+}
+
 /// Sends one protocol frame over a transport wire (no flush), sealed
 /// with a CRC32C trailer when `checksums` was negotiated for the link.
 pub fn send_frame(
@@ -706,11 +727,7 @@ pub fn send_frame(
     frame: &Frame,
     checksums: bool,
 ) -> io::Result<()> {
-    if checksums {
-        wire.send(&frame.encode_sealed()?)
-    } else {
-        wire.send(&frame.encode()?)
-    }
+    wire.send(&seal_if(frame.encode()?, checksums))
 }
 
 #[cfg(test)]
@@ -789,6 +806,28 @@ mod tests {
             let bytes = f.encode().unwrap();
             let back = Frame::decode(&bytes).unwrap();
             assert_eq!(back.encode().unwrap(), bytes, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn borrowed_data_encoding_matches_the_frame_encoding() {
+        let msgs = [
+            JoinMsg::Probe(RecordMsg {
+                record: rec(21),
+                ingest: Timestamp::from_nanos(8),
+                side: None,
+            }),
+            JoinMsg::Barrier {
+                epoch: 3,
+                injected_at: Timestamp::from_nanos(99),
+            },
+        ];
+        for (seq, msg) in msgs.into_iter().enumerate() {
+            let seq = seq as u64 + 40;
+            let bytes = encode_data(seq, &msg).unwrap();
+            assert_eq!(bytes, Frame::Data { seq, msg }.encode().unwrap());
+            assert_eq!(seal_if(bytes.clone(), false), bytes);
+            assert_eq!(seal_if(bytes.clone(), true), stormlite::seal(bytes));
         }
     }
 

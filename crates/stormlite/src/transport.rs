@@ -9,11 +9,12 @@
 //!   deterministic under the simulation scheduler.
 //! * [`TcpWire`] — a real socket. Frames are length-prefixed byte blobs
 //!   (see [`write_frame`] / [`read_frame`]), outbound frames are coalesced
-//!   by a [`FrameBatcher`] so small tuples share syscalls, and inbound
-//!   frames land in a *bounded* queue whose depth is visible through
-//!   [`Wire::queue_depth`] — the same signal the shed watermark reads on
-//!   in-process wires. When the queue is full the reader thread stops
-//!   draining the socket, the kernel receive window closes, and
+//!   by a [`FrameBatcher`] so small tuples share syscalls, inbound frames
+//!   are parsed out of a buffered reader so one `read` drains a whole
+//!   burst, and they land in a *bounded* queue whose depth is visible
+//!   through [`Wire::queue_depth`] — the same signal the shed watermark
+//!   reads on in-process wires. When the queue is full the reader thread
+//!   stops draining the socket, the kernel receive window closes, and
 //!   backpressure propagates to the sender for real.
 //!
 //! Both backends speak frames (`Vec<u8>`); what the bytes mean is the
@@ -22,7 +23,7 @@
 //! [`ChaosLink`], which replays the deterministic drop/duplicate/delay
 //! dice of [`crate::link`] against an outbound frame stream.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -43,6 +44,10 @@ pub const BATCH_MAX_FRAMES: usize = 32;
 
 /// Default flush threshold for [`FrameBatcher`]: buffered byte count.
 pub const BATCH_MAX_BYTES: usize = 64 * 1024;
+
+/// Capacity of a [`TcpWire`] reader thread's receive buffer: one `read`
+/// can take a whole flushed batch off the socket.
+const READ_BUF_BYTES: usize = BATCH_MAX_BYTES;
 
 /// Writes one length-prefixed frame: `u32` little-endian payload length,
 /// then the payload bytes. The inverse of [`read_frame`].
@@ -195,6 +200,11 @@ pub trait Wire: Send {
     /// Number of inbound frames queued but not yet received — the bounded
     /// buffer depth the shed watermark reads.
     fn queue_depth(&self) -> usize;
+
+    /// `(frames sent, write batches)` on the outbound side so far. The
+    /// ratio is the coalescing factor: a wire that writes every frame on
+    /// its own reports equal counts.
+    fn write_counters(&self) -> (u64, u64);
 }
 
 /// The in-process backend: a pair of bounded crossbeam channels, one per
@@ -202,6 +212,7 @@ pub trait Wire: Send {
 pub struct ChannelWire {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
+    sent: u64,
 }
 
 /// Two connected [`ChannelWire`] ends, each direction bounded to
@@ -219,8 +230,16 @@ pub fn channel_wire_pair_asym(a_to_b: usize, b_to_a: usize) -> (ChannelWire, Cha
     let (a_tx, b_rx) = bounded(a_to_b.max(1));
     let (b_tx, a_rx) = bounded(b_to_a.max(1));
     (
-        ChannelWire { tx: a_tx, rx: a_rx },
-        ChannelWire { tx: b_tx, rx: b_rx },
+        ChannelWire {
+            tx: a_tx,
+            rx: a_rx,
+            sent: 0,
+        },
+        ChannelWire {
+            tx: b_tx,
+            rx: b_rx,
+            sent: 0,
+        },
     )
 }
 
@@ -228,7 +247,9 @@ impl Wire for ChannelWire {
     fn send(&mut self, frame: &[u8]) -> io::Result<()> {
         self.tx
             .send(frame.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer wire end dropped"))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer wire end dropped"))?;
+        self.sent += 1;
+        Ok(())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -254,16 +275,23 @@ impl Wire for ChannelWire {
     fn queue_depth(&self) -> usize {
         self.rx.len()
     }
+
+    fn write_counters(&self) -> (u64, u64) {
+        // Every frame is its own channel send: nothing coalesces.
+        (self.sent, self.sent)
+    }
 }
 
 /// The TCP backend: a blocking socket with a dedicated reader thread.
 ///
-/// The reader thread decodes length-prefixed frames off the socket into a
-/// bounded channel. When that channel fills, the reader blocks, stops
-/// draining the socket, and the kernel's receive window closes — so the
-/// bounded in-memory queue *is* the bounded socket buffer, and its depth
-/// ([`Wire::queue_depth`]) feeds the same shed watermark as the in-process
-/// backend. Outbound frames go through a [`FrameBatcher`].
+/// The reader thread decodes length-prefixed frames out of a buffered
+/// reader over the socket — one `read` takes a whole burst, however many
+/// frames it holds — into a bounded channel. When that channel fills, the
+/// reader blocks, stops draining the socket, and the kernel's receive
+/// window closes — so the bounded in-memory queue *is* the bounded socket
+/// buffer, and its depth ([`Wire::queue_depth`]) feeds the same shed
+/// watermark as the in-process backend. Outbound frames go through a
+/// [`FrameBatcher`].
 ///
 /// Dropping a `TcpWire` shuts the socket down in both directions, which
 /// unblocks and terminates the reader thread.
@@ -304,17 +332,14 @@ impl TcpWire {
             closed: None,
         })
     }
-
-    /// Frames pushed / batch flushes on the outbound side (coalescing
-    /// ratio).
-    pub fn batch_counters(&self) -> (u64, u64) {
-        self.writer.counters()
-    }
 }
 
-fn read_loop(mut stream: TcpStream, tx: Sender<ReadItem>) {
+fn read_loop(stream: TcpStream, tx: Sender<ReadItem>) {
+    // `read_frame` takes most frames out of the buffer; a `read` syscall
+    // happens only when the buffer runs dry.
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
     loop {
-        match read_frame(&mut stream, MAX_FRAME_BYTES) {
+        match read_frame(&mut reader, MAX_FRAME_BYTES) {
             Ok(Some(frame)) => {
                 if tx.send(ReadItem::Frame(frame)).is_err() {
                     return; // receiver gone: wire dropped
@@ -380,6 +405,10 @@ impl Wire for TcpWire {
 
     fn queue_depth(&self) -> usize {
         self.rx.len()
+    }
+
+    fn write_counters(&self) -> (u64, u64) {
+        self.writer.counters()
     }
 }
 
@@ -772,11 +801,116 @@ mod tests {
                 other => panic!("expected echo {i}, got {other:?}"),
             }
         }
-        let (frames, flushes) = client.batch_counters();
+        let (frames, flushes) = client.write_counters();
         assert_eq!(frames, 100);
         assert!(flushes < frames, "batching should coalesce frames");
         drop(client);
         server.join().unwrap();
+    }
+
+    /// A raw client socket and the [`TcpWire`] on the accepting end, so a
+    /// test controls exactly which bytes reach the reader thread and how
+    /// they are split across segments.
+    fn raw_client_and_wire() -> (TcpStream, TcpWire) {
+        let listener = listen_loopback().unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, TcpWire::new(server, 4096).unwrap())
+    }
+
+    /// Receives until the wire closes: the frames delivered, then the close
+    /// reason.
+    fn frames_until_closed(wire: &mut TcpWire) -> (Vec<Vec<u8>>, CloseReason) {
+        let mut got = Vec::new();
+        loop {
+            match wire.recv_timeout(Duration::from_secs(10)).unwrap() {
+                WireEvent::Frame(f) => got.push(f),
+                WireEvent::Idle => panic!("timed out after {} frames", got.len()),
+                WireEvent::Closed(reason) => return (got, reason),
+            }
+        }
+    }
+
+    fn encode_all(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for p in payloads {
+            write_frame(&mut bytes, p).unwrap();
+        }
+        bytes
+    }
+
+    #[test]
+    fn thousand_frames_in_one_write_arrive_intact_and_in_order() {
+        // Varying sizes make frames straddle the reader's buffer boundary,
+        // and one frame larger than the whole buffer takes the direct-read
+        // path in the middle of the burst.
+        let mut payloads: Vec<Vec<u8>> = (0..1000u32)
+            .map(|i| i.to_le_bytes().repeat(i as usize % 97))
+            .collect();
+        payloads[500] = vec![0xAB; 3 * READ_BUF_BYTES + 5];
+        let (mut client, mut wire) = raw_client_and_wire();
+        client.write_all(&encode_all(&payloads)).unwrap();
+        drop(client);
+        let (got, reason) = frames_until_closed(&mut wire);
+        assert_eq!(got.len(), payloads.len());
+        assert!(got == payloads, "frames corrupted or reordered");
+        assert_eq!(reason, CloseReason::Clean);
+    }
+
+    #[test]
+    fn frames_written_one_byte_at_a_time_arrive_intact() {
+        let payloads: Vec<Vec<u8>> =
+            vec![b"split".to_vec(), Vec::new(), vec![7u8; 300], b"x".to_vec()];
+        let (mut client, mut wire) = raw_client_and_wire();
+        client.set_nodelay(true).unwrap();
+        for b in encode_all(&payloads) {
+            client.write_all(&[b]).unwrap();
+            // Give each byte its own segment, so prefixes and payloads
+            // reach the reader in pieces.
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        drop(client);
+        let (got, reason) = frames_until_closed(&mut wire);
+        assert_eq!(got, payloads);
+        assert_eq!(reason, CloseReason::Clean);
+    }
+
+    #[test]
+    fn eof_at_a_frame_boundary_is_clean() {
+        let (client, mut wire) = raw_client_and_wire();
+        drop(client);
+        assert_eq!(
+            frames_until_closed(&mut wire),
+            (Vec::new(), CloseReason::Clean)
+        );
+
+        // A trailing empty frame ends exactly at its own prefix.
+        let payloads = vec![b"last".to_vec(), Vec::new()];
+        let (mut client, mut wire) = raw_client_and_wire();
+        client.write_all(&encode_all(&payloads)).unwrap();
+        drop(client);
+        assert_eq!(
+            frames_until_closed(&mut wire),
+            (payloads, CloseReason::Clean)
+        );
+    }
+
+    #[test]
+    fn cut_mid_frame_is_an_error_after_every_complete_frame() {
+        let complete: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 10 + i as usize]).collect();
+        let mut tail = Vec::new();
+        write_frame(&mut tail, b"never finished").unwrap();
+        // Cut inside the length prefix, then inside the payload.
+        for cut in [2, 4 + 5] {
+            let (mut client, mut wire) = raw_client_and_wire();
+            let mut bytes = encode_all(&complete);
+            bytes.extend_from_slice(&tail[..cut]);
+            client.write_all(&bytes).unwrap();
+            drop(client);
+            let (got, reason) = frames_until_closed(&mut wire);
+            assert_eq!(got, complete, "cut at {cut}: complete frames lost");
+            assert_eq!(reason, CloseReason::Error, "cut at {cut}");
+        }
     }
 
     #[test]

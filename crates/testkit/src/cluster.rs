@@ -293,6 +293,35 @@ mod tests {
     }
 
     #[test]
+    fn cluster_metrics_schema_is_complete_and_counts_wire_writes() {
+        let out = run_cluster_differential(11, &base_case(), ClusterBackend::InProcess).result;
+        let snap = out.metrics_snapshot();
+        let text = obs::prometheus(&snap);
+        // Every metric family has exactly one HELP and one TYPE line.
+        for name in snap.names() {
+            for line in ["HELP", "TYPE"] {
+                assert_eq!(
+                    text.matches(&format!("# {line} {name} ")).count(),
+                    1,
+                    "{name} must have exactly one {line} line"
+                );
+            }
+        }
+        // Channel wires write every frame on its own.
+        assert!(out.wire_frames > 0, "the launcher sent nothing");
+        assert_eq!(out.wire_frames, out.wire_writes);
+        for (name, v) in [
+            ("dssj_cluster_wire_frames_total", out.wire_frames),
+            ("dssj_cluster_wire_writes_total", out.wire_writes),
+        ] {
+            assert!(
+                text.contains(&format!("\n{name} {v}\n")),
+                "metrics export must carry {name} = {v}"
+            );
+        }
+    }
+
+    #[test]
     fn in_process_cluster_bistream_matches_oracle() {
         let out = run_cluster_differential(5, &base_case().bistream(), ClusterBackend::InProcess);
         assert!(out.pairs > 0, "bistream workload produced no pairs");
