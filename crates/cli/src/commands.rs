@@ -588,8 +588,13 @@ fn print_cluster_summary(out: &ssj_distrib::ClusterResult, backend: &ClusterBack
     }
     if out.retransmissions + out.dup_results_dropped > 0 {
         println!(
-            "reliability : {} retransmissions, {} duplicate results dropped",
-            out.retransmissions, out.dup_results_dropped
+            "reliability : {} retransmissions ({} selective-ack, {} timer/respawn; {} sacks \
+             received), {} duplicate results dropped",
+            out.retransmissions,
+            out.fast_retransmissions,
+            out.retransmissions - out.fast_retransmissions,
+            out.sacks_received,
+            out.dup_results_dropped
         );
     }
     if !out.shed_records.is_empty() {

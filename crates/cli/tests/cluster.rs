@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 use testkit::{
     assert_pairs_equal, cluster_config_for, differential_records, run_cluster_differential,
-    run_cluster_restore_differential, self_join_surviving, sorted_keys, with_deadline,
-    DifferentialCase,
+    run_cluster_restore_differential, sacked_kill_case, self_join_surviving, sorted_keys,
+    with_deadline, DifferentialCase, SACKED_KILLS,
 };
 
 /// Hard per-test timeout: the self-healing failure mode under test is
@@ -83,6 +83,35 @@ fn tcp_cluster_crash_composes_with_link_chaos() {
         out.result.retransmissions > 0,
         "chaos was requested but nothing was ever retransmitted"
     );
+}
+
+#[test]
+fn tcp_sack_kill_while_frames_are_held_is_exact() {
+    // The TCP twin of the in-process kill sweep: a live ssj-node process
+    // killed under heavy loss usually dies holding SACKed frames, which
+    // its successor never received. Each point must stay exact.
+    with_deadline(TEST_DEADLINE, || {
+        for (seed, at) in SACKED_KILLS {
+            let out = run_cluster_differential(seed, &sacked_kill_case(seed, at), tcp_backend());
+            assert!(
+                out.result.sacks_received > 0,
+                "seed {seed}: no selective ack over TCP"
+            );
+        }
+    });
+}
+
+#[test]
+fn tcp_sack_clean_run_sends_no_sack() {
+    // TCP never drops or reorders, so a node never holds a frame above a
+    // gap and the selective-ack path stays silent.
+    with_deadline(TEST_DEADLINE, || {
+        let mut case = base_case();
+        case.records = 1_000;
+        let out = run_cluster_differential(11, &case, tcp_backend()).result;
+        assert_eq!(out.sacks_received, 0);
+        assert_eq!(out.fast_retransmissions, 0);
+    });
 }
 
 #[test]

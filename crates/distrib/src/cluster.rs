@@ -19,10 +19,23 @@
 //! Every routed [`JoinMsg`] travels as a `Data{seq, msg}` frame with a
 //! per-connection sequence number. A node processes frames in strict
 //! `seq` order (buffering out-of-order arrivals, re-acking
-//! retransmissions of already-processed sequence numbers), writes every
-//! result/snapshot frame a message produces *before* its `Ack{seq}` on
-//! the same FIFO stream, and the launcher retransmits unacked frames on a
-//! backoff timer built from [`stormlite::RetryConfig`]. Because acks
+//! retransmissions of already-processed sequence numbers) and writes
+//! every result/snapshot frame a message produces *before* its
+//! `Ack{seq}` on the same FIFO stream.
+//!
+//! Loss is repaired by selective ack (protocol v4). Before it blocks, a
+//! node whose reorder buffer holds frames above a gap, and has grown
+//! since its last report, sends one [`Frame::Sack`] listing its lowest
+//! held `seq` ranges. The launcher marks those frames SACKed and resends
+//! at once only the frames the loss rule names lost: unacked, not
+//! SACKed, and sent at least [`crate::session::SACK_REORDER`]
+//! transmissions before the newest SACKed frame. The backoff timer built
+//! from [`stormlite::RetryConfig`] stays as the backstop for a lost tail
+//! or a lost retransmission; it skips SACKed frames, and a link's window
+//! is scanned only once its earliest due instant has passed. A gap-free
+//! wire never carries a `Sack`, and v2/v3 nodes, which never send one,
+//! are repaired by the timer alone. The reorder buffer and the loss rule
+//! live, free of I/O, in [`crate::session`]. Because acks
 //! follow results in FIFO order, a received ack proves every result of
 //! that message arrived; conversely any lost output suffix corresponds to
 //! unacked frames, which are reprocessed after recovery — producing
@@ -41,7 +54,8 @@
 //! like the in-process replay path) and retransmits the unacked frames in
 //! their original order under their original sequence numbers. The
 //! restored state equals the state after the acked prefix, so
-//! reprocessing the unacked suffix is bit-exact.
+//! reprocessing the unacked suffix is bit-exact. The fresh node holds
+//! nothing, so every SACKed mark is cleared when the suffix is resent.
 //!
 //! # Backpressure → shedding
 //!
@@ -105,9 +119,10 @@ use crate::driver::{build_router, prepare_restore, DistributedJoinConfig, LocalA
 use crate::msg::{JoinMsg, RecordMsg};
 use crate::recovery::{RecoveryState, ReplayEntry};
 use crate::route::Router;
+use crate::session::{apply_sack, InFlight, ReorderBuffer};
 use crate::wire::{
-    encode_data, seal_if, send_frame, Frame, NodeConfig, NodeReport, MIN_PROTO_VERSION,
-    PROTO_VERSION,
+    encode_data, seal_if, send_frame, Frame, NodeConfig, NodeReport, CHECKSUM_PROTO_VERSION,
+    MAX_SACK_RANGES, MIN_PROTO_VERSION, PROTO_VERSION, SACK_PROTO_VERSION,
 };
 
 /// How joiner tasks are hosted.
@@ -365,8 +380,17 @@ pub struct ClusterResult {
     /// Duplicate result frames dropped by the sink's pair-key filter —
     /// nonzero only when crashes or chaos forced reprocessing.
     pub dup_results_dropped: u64,
-    /// Frames retransmitted by the at-least-once layer.
+    /// Frames retransmitted by the at-least-once layer: timer and
+    /// selective-ack repairs plus respawn resends.
     pub retransmissions: u64,
+    /// The share of `retransmissions` resent at once because a selective
+    /// ack exposed them as lost (see [`crate::session`]).
+    pub fast_retransmissions: u64,
+    /// [`Frame::Sack`] reports received from the nodes.
+    pub sacks_received: u64,
+    /// First send → ack latency of every frame that needed a resend
+    /// (timer, selective-ack or respawn): how long loss repair took.
+    pub repair_latency: LatencyHistogram,
     /// Frames the launcher sent over all its wires (respawned
     /// incarnations included): data, retransmissions and control.
     pub wire_frames: u64,
@@ -416,7 +440,7 @@ impl ClusterResult {
     /// `RunReport::metrics_snapshot`.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        let counters: [(&str, &str, u64); 19] = [
+        let counters: [(&str, &str, u64); 21] = [
             (
                 "dssj_cluster_pairs_total",
                 "Distinct verified result pairs",
@@ -441,6 +465,16 @@ impl ClusterResult {
                 "dssj_cluster_retransmissions_total",
                 "Frames retransmitted by the at-least-once layer",
                 self.retransmissions,
+            ),
+            (
+                "dssj_cluster_fast_retransmissions_total",
+                "Frames resent at once because a selective ack exposed them as lost",
+                self.fast_retransmissions,
+            ),
+            (
+                "dssj_cluster_sacks_received_total",
+                "Selective-ack reports received from the nodes",
+                self.sacks_received,
             ),
             (
                 "dssj_cluster_wire_frames_total",
@@ -551,6 +585,12 @@ impl ClusterResult {
             "Dispatch-to-result latency (empty under logical time)",
             &[],
             &self.latency,
+        );
+        snap.push_histogram(
+            "dssj_cluster_repair_latency",
+            "First send to ack of every frame that needed a resend",
+            &[],
+            &self.repair_latency,
         );
         snap.push_histogram(
             "dssj_cluster_detection_latency",
@@ -777,11 +817,14 @@ pub fn node_serve(wire: &mut dyn Wire, task: usize) -> io::Result<()> {
 
 /// [`node_serve`] announcing an explicit protocol version — the
 /// interop-test entry point for emulating an older node. At `proto < 3`
-/// the link runs without frame checksums, exactly as a v2 binary would.
+/// the link runs without frame checksums, exactly as a v2 binary would;
+/// at `proto < 4` the node never sends a [`Frame::Sack`], exactly as a v3
+/// binary would.
 /// The `Hello` itself always travels unsealed: it is what negotiates
 /// whether checksums are on for the rest of the stream.
 pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result<()> {
-    let checksums = proto >= 3;
+    let checksums = proto >= CHECKSUM_PROTO_VERSION;
+    let sacks = proto >= SACK_PROTO_VERSION;
     send_frame(
         wire,
         &Frame::Hello {
@@ -803,16 +846,22 @@ pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result
         return Err(proto_err("Config addressed to a different task"));
     }
     let mut engine = NodeEngine::new(&cfg, checksums);
-    let mut next_seq = cfg.resume_seq;
-    // Out-of-order arrivals (chaos delays/duplicates) wait here until the
-    // sequence gap closes; processing is strictly in `seq` order.
-    let mut pending: BTreeMap<u64, JoinMsg> = BTreeMap::new();
+    // Out-of-order arrivals (chaos drops/delays/duplicates) wait here until
+    // the sequence gap closes; processing is strictly in `seq` order.
+    let mut pending: ReorderBuffer<JoinMsg> = ReorderBuffer::new(cfg.resume_seq);
     loop {
         let event = if wire.queue_depth() > 0 {
             wire.try_recv()?
         } else {
-            // Inbound queue drained: push buffered results/acks out before
-            // blocking, so the launcher is never left waiting on a batch.
+            // Inbound queue drained: report what waits above a gap, so the
+            // launcher resends only the holes, then push buffered
+            // results/acks out before blocking, so the launcher is never
+            // left waiting on a batch.
+            if sacks {
+                if let Some(held) = pending.report(MAX_SACK_RANGES) {
+                    send_frame(wire, &Frame::Sack { held }, checksums)?;
+                }
+            }
             wire.flush()?;
             wire.recv_timeout(Duration::from_millis(100))?
         };
@@ -828,17 +877,14 @@ pub fn node_serve_at(wire: &mut dyn Wire, task: usize, proto: u16) -> io::Result
                     wire.flush()?;
                 }
                 Frame::Data { seq, msg } => {
-                    if seq < next_seq {
+                    if !pending.insert(seq, msg) {
                         // Retransmission of an already-processed frame: its
                         // effects (and results) are final; just re-ack.
                         send_frame(wire, &Frame::Ack { seq }, checksums)?;
-                    } else {
-                        pending.insert(seq, msg);
-                        while let Some(msg) = pending.remove(&next_seq) {
-                            engine.process(msg, wire)?;
-                            send_frame(wire, &Frame::Ack { seq: next_seq }, checksums)?;
-                            next_seq += 1;
-                        }
+                    }
+                    while let Some((seq, msg)) = pending.pop_ready() {
+                        engine.process(msg, wire)?;
+                        send_frame(wire, &Frame::Ack { seq }, checksums)?;
                     }
                 }
                 Frame::Restore { window } => engine.apply_restore(&window)?,
@@ -899,8 +945,27 @@ struct PendingFrame {
     /// `(id, timestamp)` of the carried record (`None` for barriers):
     /// drives [`RecoveryState::mark_processed`] when the ack arrives.
     record_meta: Option<(u64, u64)>,
+    /// The first transmission: delivery and repair latency run from here.
+    first_sent: Instant,
     last_sent: Instant,
+    /// Timer retransmissions so far (the backoff exponent).
     retries: u32,
+    /// The link's transmission ordinal at the last send.
+    tx: u64,
+    /// The node reported holding this frame: the timer leaves it alone.
+    sacked: bool,
+}
+
+impl InFlight for PendingFrame {
+    fn tx(&self) -> u64 {
+        self.tx
+    }
+    fn sacked(&self) -> bool {
+        self.sacked
+    }
+    fn set_sacked(&mut self) {
+        self.sacked = true;
+    }
 }
 
 struct NodeLink {
@@ -936,6 +1001,19 @@ struct NodeLink {
     /// Whether frames on this link carry CRC32C trailers — negotiated
     /// from the node's `Hello` protocol version (≥ 3).
     checksums: bool,
+    /// Whether the node may send [`Frame::Sack`] (protocol ≥ 4).
+    sacks: bool,
+    /// Data transmissions on this link so far: the ordinal the loss rule
+    /// compares (see [`crate::session`]). Never reset.
+    tx: u64,
+    /// Earliest instant any unacked, un-SACKed frame can become due for a
+    /// timer retransmission; `None` when none can. `service_timers` scans
+    /// the window only once this has passed.
+    timer_due: Option<Instant>,
+    /// The incarnation is being killed and its output drained: a `Sack`
+    /// it sent is moot (the successor gets the whole unacked suffix), so
+    /// nothing is resent into the dying wire.
+    retiring: bool,
     /// Scripted [`OutageKind::CorruptInbound`] windows, keyed on this
     /// wire's inbound frame ordinal.
     corrupt_inbound: Vec<ChaosWindow>,
@@ -949,6 +1027,49 @@ struct NodeLink {
     /// remaining inbound backlog is discarded instead of drained during
     /// the respawn. Cleared once the fresh incarnation is up.
     poisoned: bool,
+}
+
+impl NodeLink {
+    fn new(
+        wire: Box<dyn Wire>,
+        proc: NodeProc,
+        chaos: Option<ChaosLink>,
+        corrupt_inbound: Vec<ChaosWindow>,
+    ) -> Self {
+        Self {
+            wire,
+            proc,
+            next_seq: 0,
+            unacked: BTreeMap::new(),
+            acked: 0,
+            chaos,
+            incarnation: 0,
+            restored_from_epoch: None,
+            digest: FNV_OFFSET,
+            eos_sent: false,
+            done: None,
+            last_seen: Instant::now(),
+            hb_last: Instant::now(),
+            held_inbound: Vec::new(),
+            health_respawns: 0,
+            fenced: false,
+            checksums: false,
+            sacks: false,
+            tx: 0,
+            timer_due: None,
+            retiring: false,
+            corrupt_inbound,
+            inbound_seq: 0,
+            poisoned: false,
+        }
+    }
+
+    /// Adopts what the protocol version a fresh incarnation announced
+    /// turns on: checksums from v3, selective acks from v4.
+    fn negotiate(&mut self, proto: u16) {
+        self.checksums = proto >= CHECKSUM_PROTO_VERSION;
+        self.sacks = proto >= SACK_PROTO_VERSION;
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1015,6 +1136,9 @@ struct Launcher<'a> {
     // Metrics and control.
     stages: StageProfile,
     retransmissions: u64,
+    fast_retransmissions: u64,
+    sacks_received: u64,
+    repair_latency: LatencyHistogram,
     /// Outbound frames and write batches of retired wires (see
     /// [`ClusterResult::wire_frames`]).
     wire_frames: u64,
@@ -1064,6 +1188,9 @@ impl<'a> Launcher<'a> {
             latency: LatencyHistogram::new(),
             stages: StageProfile::new(),
             retransmissions: 0,
+            fast_retransmissions: 0,
+            sacks_received: 0,
+            repair_latency: LatencyHistogram::new(),
             wire_frames: 0,
             wire_writes: 0,
             shed_log: Vec::new(),
@@ -1174,35 +1301,15 @@ impl<'a> Launcher<'a> {
                 (None, false) => Some(ChaosLink::from_outages(outages)),
                 (None, true) => None,
             };
-            self.links.push(NodeLink {
-                wire,
-                proc: proc_,
-                next_seq: 0,
-                unacked: BTreeMap::new(),
-                acked: 0,
-                chaos,
-                incarnation: 0,
-                restored_from_epoch: None,
-                digest: FNV_OFFSET,
-                eos_sent: false,
-                done: None,
-                last_seen: Instant::now(),
-                hb_last: Instant::now(),
-                held_inbound: Vec::new(),
-                health_respawns: 0,
-                fenced: false,
-                checksums: false,
-                corrupt_inbound,
-                inbound_seq: 0,
-                poisoned: false,
-            });
+            self.links
+                .push(NodeLink::new(wire, proc_, chaos, corrupt_inbound));
             if let Some(r) = &self.recovery {
                 r.begin_incarnation(task);
             }
             let (hello, proto) =
                 read_hello(self.links[task].wire.as_mut()).expect("node handshake failed");
             assert_eq!(hello as usize, task, "node announced the wrong task");
-            self.links[task].checksums = proto >= 3;
+            self.links[task].negotiate(proto);
             let config = self.node_config(task, 0);
             let link = &mut self.links[task];
             send_frame(link.wire.as_mut(), &Frame::Config(config), link.checksums)
@@ -1303,6 +1410,9 @@ impl<'a> Launcher<'a> {
             restored_cut,
             dup_results_dropped: self.dup_results_dropped,
             retransmissions: self.retransmissions,
+            fast_retransmissions: self.fast_retransmissions,
+            sacks_received: self.sacks_received,
+            repair_latency: self.repair_latency,
             wire_frames: self.wire_frames,
             wire_writes: self.wire_writes,
             epochs_committed: self
@@ -1559,16 +1669,43 @@ impl<'a> Launcher<'a> {
             link.digest = fnv1a(link.digest, &unsealed);
         }
         let frame = seal_if(unsealed, link.checksums);
+        let now = Instant::now();
+        link.tx += 1;
         link.unacked.insert(
             seq,
             PendingFrame {
                 msg,
                 record_meta,
-                last_sent: Instant::now(),
+                first_sent: now,
+                last_sent: now,
                 retries: 0,
+                tx: link.tx,
+                sacked: false,
             },
         );
+        let due = now + backoff(&self.cfg.retry, 0);
+        link.timer_due = Some(link.timer_due.map_or(due, |d| d.min(due)));
         self.transmit(task, frame);
+    }
+
+    /// Stamps unacked frame `seq` as sent again now, at the link's next
+    /// transmission ordinal, and transmits it. Returns the time since its
+    /// previous send.
+    fn resend(&mut self, task: usize, seq: u64, now: Instant) -> Duration {
+        let link = &mut self.links[task];
+        link.tx += 1;
+        let p = link
+            .unacked
+            .get_mut(&seq)
+            .expect("only unacked frames are resent");
+        let age = now.saturating_duration_since(p.last_sent);
+        p.last_sent = now;
+        p.tx = link.tx;
+        let frame = encode_data(seq, &p.msg).expect("data frames are always encodable");
+        let frame = seal_if(frame, link.checksums);
+        self.retransmissions += 1;
+        self.transmit(task, frame);
+        age
     }
 
     /// Pushes one encoded frame through the wire, via the chaos link when
@@ -1746,17 +1883,27 @@ impl<'a> Launcher<'a> {
                     return true; // re-ack of a frame a retransmission already covered
                 };
                 self.links[task].acked += 1;
-                self.stages
-                    .record(Stage::Deliver, acked.last_sent.elapsed());
+                // Measured from the first send, so repair time shows up in
+                // the delivery profile instead of vanishing behind the
+                // last retransmission.
+                let delivered = acked.first_sent.elapsed();
+                self.stages.record(Stage::Deliver, delivered);
+                if acked.last_sent > acked.first_sent {
+                    // Resent at least once: this delivery needed repair.
+                    self.repair_latency.record(delivered);
+                }
                 if acked.retries > 0 {
                     // An ack for a frame that needed retransmission means
                     // the link just healed (or caught up): reset the
                     // remaining unacked frames' grown backoff so recovery
                     // proceeds at the base cadence instead of waiting out
-                    // a fully-grown exponential delay.
-                    for p in self.links[task].unacked.values_mut() {
+                    // a fully-grown exponential delay. Shorter timeouts can
+                    // be due at once, so the timer scans on its next pass.
+                    let link = &mut self.links[task];
+                    for p in link.unacked.values_mut() {
                         p.retries = 0;
                     }
+                    link.timer_due = Some(Instant::now());
                 }
                 if let (Some(recovery), Some((id, ts))) = (&self.recovery, acked.record_meta) {
                     recovery.mark_processed(task, id, ts);
@@ -1826,6 +1973,13 @@ impl<'a> Launcher<'a> {
                 // feeds the counters.
                 self.health_report.health_acks += 1;
             }
+            Frame::Sack { held } => {
+                if !self.links[task].sacks {
+                    // A node that negotiated v2/v3 cannot send this.
+                    return self.note_corrupt(task, false);
+                }
+                self.on_sack(task, &held);
+            }
             // Hello, Config, Data, Restore, Eos, Heartbeat never flow
             // node→launcher: a decodable-but-misdirected frame is as
             // untrustworthy as an undecodable one.
@@ -1834,31 +1988,60 @@ impl<'a> Launcher<'a> {
         true
     }
 
-    /// Retransmits overdue unacked frames with exponential backoff, and
-    /// flushes the wire after a retransmission wave: an overdue frame has
-    /// waited long enough, whatever the batcher's thresholds say.
+    /// Selective-ack repair: marks the frames the node holds, then resends
+    /// at once every frame the loss rule names lost (see
+    /// [`crate::session`]) and flushes once.
+    fn on_sack(&mut self, task: usize, held: &[(u64, u64)]) {
+        self.sacks_received += 1;
+        let lost = apply_sack(&mut self.links[task].unacked, held);
+        if lost.is_empty() || self.links[task].retiring {
+            return;
+        }
+        let now = Instant::now();
+        for seq in lost {
+            let age = self.resend(task, seq, now);
+            self.fast_retransmissions += 1;
+            self.stages.record(Stage::Retry, age);
+        }
+        let _ = self.links[task].wire.flush();
+    }
+
+    /// The backstop for what selective acks cannot expose (a lost tail, a
+    /// lost retransmission with nothing sent after it): retransmits
+    /// overdue unacked frames the node has not reported holding, with
+    /// exponential backoff, and flushes the wire after a retransmission
+    /// wave — an overdue frame has waited long enough, whatever the
+    /// batcher's thresholds say. A link is scanned only once its earliest
+    /// possible due time has passed.
     fn service_timers(&mut self) {
         let retry = self.cfg.retry;
+        let now = Instant::now();
         for task in 0..self.links.len() {
-            let now = Instant::now();
-            let checksums = self.links[task].checksums;
-            let mut resend: Vec<(Vec<u8>, Duration)> = Vec::new();
-            for (&seq, p) in self.links[task].unacked.iter_mut() {
-                let age = now.duration_since(p.last_sent);
-                if age >= backoff(&retry, p.retries) {
-                    p.last_sent = now;
-                    p.retries += 1;
-                    let frame = encode_data(seq, &p.msg).expect("data frames are always encodable");
-                    resend.push((seal_if(frame, checksums), age));
-                }
-            }
-            if resend.is_empty() {
+            let link = &mut self.links[task];
+            if link.timer_due.is_none_or(|due| now < due) {
                 continue;
             }
-            for (frame, age) in resend {
-                self.retransmissions += 1;
+            let mut overdue = Vec::new();
+            let mut next_due: Option<Instant> = None;
+            for (&seq, p) in link.unacked.iter_mut().filter(|(_, p)| !p.sacked) {
+                // An overdue frame is resent now, below.
+                let sent = if now.duration_since(p.last_sent) >= backoff(&retry, p.retries) {
+                    p.retries += 1;
+                    overdue.push(seq);
+                    now
+                } else {
+                    p.last_sent
+                };
+                let due = sent + backoff(&retry, p.retries);
+                next_due = Some(next_due.map_or(due, |d| d.min(due)));
+            }
+            link.timer_due = next_due;
+            if overdue.is_empty() {
+                continue;
+            }
+            for seq in overdue {
+                let age = self.resend(task, seq, now);
                 self.stages.record(Stage::Retry, age);
-                self.transmit(task, frame);
             }
             let _ = self.links[task].wire.flush();
         }
@@ -2055,6 +2238,7 @@ impl<'a> Launcher<'a> {
             self.recovery.is_some(),
             "node {task} died but no fault/checkpoint/health machinery is enabled"
         );
+        self.links[task].retiring = true;
         // Deliver any partition-held inbound frames first: they precede
         // whatever the drain below will surface, and skipping them would
         // punch holes in the contiguous unacked suffix the resume
@@ -2089,6 +2273,7 @@ impl<'a> Launcher<'a> {
         let (wire, proc_) = self.spawn_one(task);
         let old_wire = std::mem::replace(&mut self.links[task].wire, wire);
         self.links[task].proc = proc_;
+        self.links[task].retiring = false;
         self.retire_wire(old_wire);
         if let Some(handle) = old_thread {
             let _ = handle.join();
@@ -2110,7 +2295,7 @@ impl<'a> Launcher<'a> {
         self.links[task].last_seen = Instant::now();
         self.links[task].hb_last = Instant::now();
         self.links[task].poisoned = false;
-        self.links[task].checksums = proto >= 3;
+        self.links[task].negotiate(proto);
         let checksums = self.links[task].checksums;
         // Unacked seqs form a contiguous suffix; the node resumes at its
         // lowest (or at next_seq when nothing is in flight).
@@ -2152,22 +2337,17 @@ impl<'a> Launcher<'a> {
         }
 
         // Retransmit the unacked suffix: original order, original seqs.
-        let frames: Vec<Vec<u8>> = self.links[task]
-            .unacked
-            .iter()
-            .map(|(&seq, p)| {
-                let f = encode_data(seq, &p.msg).expect("data frames are always encodable");
-                seal_if(f, checksums)
-            })
-            .collect();
+        // The old incarnation's output is drained by now, and the new one
+        // holds nothing: every frame is unreported again.
         let now = Instant::now();
+        let seqs: Vec<u64> = self.links[task].unacked.keys().copied().collect();
         for p in self.links[task].unacked.values_mut() {
-            p.last_sent = now;
+            p.sacked = false;
         }
-        self.retransmissions += frames.len() as u64;
-        for frame in frames {
-            self.transmit(task, frame);
+        for seq in seqs {
+            self.resend(task, seq, now);
         }
+        self.links[task].timer_due = Some(now);
         if self.links[task].eos_sent {
             let _ = send_frame(self.links[task].wire.as_mut(), &Frame::Eos, checksums);
         }
@@ -2223,6 +2403,135 @@ fn read_hello(wire: &mut dyn Wire) -> io::Result<(u32, u16)> {
                 }
             }
             WireEvent::Closed(_) => return Err(proto_err("node closed during handshake")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ssj_core::Window;
+
+    /// A launcher with one hand-made link that negotiated `proto`; the
+    /// returned wire end stands in for the node.
+    fn launcher_with_link(cfg: &ClusterConfig, proto: u16) -> (Launcher<'_>, Box<dyn Wire>) {
+        let (launcher_end, node_end) = stormlite::channel_wire_pair(16);
+        let mut launcher = Launcher::new(Vec::new(), false, cfg);
+        launcher.links.push(NodeLink::new(
+            Box::new(launcher_end),
+            NodeProc::Thread(None),
+            None,
+            Vec::new(),
+        ));
+        launcher.links[0].negotiate(proto);
+        (launcher, Box::new(node_end))
+    }
+
+    fn cfg() -> ClusterConfig {
+        let join = JoinConfig {
+            threshold: Threshold::jaccard(0.8),
+            window: Window::Unbounded,
+        };
+        ClusterConfig::recommended(1, join, ClusterBackend::InProcess)
+    }
+
+    fn probe(id: u64) -> JoinMsg {
+        let record = Record::from_sorted(ssj_text::RecordId(id), id, vec![ssj_text::TokenId(1)]);
+        JoinMsg::Probe(RecordMsg::solo(record, Timestamp::ZERO))
+    }
+
+    fn sealed_if(frame: &Frame, proto: u16) -> Vec<u8> {
+        seal_if(frame.encode().unwrap(), proto >= CHECKSUM_PROTO_VERSION)
+    }
+
+    #[test]
+    fn a_sack_below_v4_is_a_classified_protocol_violation() {
+        let cfg = cfg();
+        let sack = Frame::Sack { held: vec![(3, 5)] };
+        for proto in [MIN_PROTO_VERSION, CHECKSUM_PROTO_VERSION] {
+            let (mut launcher, _node) = launcher_with_link(&cfg, proto);
+            assert!(!launcher.on_frame(0, &sealed_if(&sack, proto)), "v{proto}");
+            assert_eq!(launcher.health_report.corrupt_frames, 1, "v{proto}");
+            assert!(launcher.links[0].poisoned, "v{proto}");
+            assert_eq!(launcher.sacks_received, 0, "v{proto}");
+        }
+        let (mut launcher, _node) = launcher_with_link(&cfg, SACK_PROTO_VERSION);
+        assert!(launcher.on_frame(0, &sealed_if(&sack, SACK_PROTO_VERSION)));
+        assert_eq!(launcher.sacks_received, 1);
+        assert_eq!(launcher.health_report.corrupt_frames, 0);
+    }
+
+    #[test]
+    fn a_malformed_sack_is_corrupt_not_a_panic() {
+        let cfg = cfg();
+        // Tag 0x0C, two ranges, the second below the first.
+        let mut body = vec![0x0C, 2];
+        for v in [8u64, 9, 2, 4] {
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        let (mut launcher, _node) = launcher_with_link(&cfg, SACK_PROTO_VERSION);
+        assert!(!launcher.on_frame(0, &seal_if(body, true)));
+        assert_eq!(launcher.health_report.corrupt_frames, 1);
+        assert_eq!(launcher.sacks_received, 0);
+    }
+
+    #[test]
+    fn a_sack_resends_only_the_holes_and_the_timer_skips_held_frames() {
+        let mut cfg = cfg();
+        cfg.retry.base_timeout = Duration::ZERO;
+        let (mut launcher, mut node) = launcher_with_link(&cfg, SACK_PROTO_VERSION);
+        for id in 0..8 {
+            launcher.send_data(0, probe(id), None);
+        }
+        let sent = |node: &mut Box<dyn Wire>| -> Vec<u64> {
+            std::iter::from_fn(|| match node.try_recv().unwrap() {
+                WireEvent::Frame(b) => match Frame::decode_checked(&b, true).unwrap() {
+                    Frame::Data { seq, .. } => Some(seq),
+                    other => panic!("unexpected {other:?}"),
+                },
+                _ => None,
+            })
+            .collect()
+        };
+        assert_eq!(sent(&mut node), (0..8).collect::<Vec<u64>>());
+        // Seq s went out as transmission s + 1. The node holds 2..4 and
+        // 6..8: 0, 1 and 4 trail the newest held frame (7) by at least
+        // SACK_REORDER sends and are lost; 5 is presumed still in flight.
+        let sack = Frame::Sack {
+            held: vec![(2, 4), (6, 8)],
+        };
+        assert!(launcher.on_frame(0, &sealed_if(&sack, SACK_PROTO_VERSION)));
+        assert_eq!(sent(&mut node), vec![0, 1, 4]);
+        assert_eq!(launcher.fast_retransmissions, 3);
+        // With a zero timeout every un-held frame is overdue at once: the
+        // timer resends 0, 1, 4 and 5, never the held 2, 3, 6, 7.
+        launcher.service_timers();
+        assert_eq!(sent(&mut node), vec![0, 1, 4, 5]);
+        assert_eq!(launcher.retransmissions, 7);
+        assert_eq!(launcher.fast_retransmissions, 3);
+    }
+
+    #[test]
+    fn a_respawn_clears_every_sacked_mark() {
+        let cfg = cfg();
+        let (mut launcher, _node) = launcher_with_link(&cfg, SACK_PROTO_VERSION);
+        launcher.recovery = Some(Arc::new(RecoveryState::new(1, cfg.join.window)));
+        for id in 0..6 {
+            launcher.send_data(0, probe(id), None);
+        }
+        // The node holds 1..6 when it dies; 0 is lost and resent at once.
+        let sack = Frame::Sack { held: vec![(1, 6)] };
+        assert!(launcher.on_frame(0, &sealed_if(&sack, SACK_PROTO_VERSION)));
+        assert_eq!(launcher.fast_retransmissions, 1);
+        // The fresh incarnation holds nothing: every frame is unreported
+        // again, so the timer covers a resend the link might drop.
+        launcher.kill_and_respawn(0);
+        assert!(launcher.links[0].unacked.values().all(|p| !p.sacked));
+        assert_eq!(launcher.retransmissions, 1 + 6);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !launcher.links[0].unacked.is_empty() {
+            assert!(Instant::now() < deadline, "the respawned node never acked");
+            launcher.pump(Duration::from_micros(200));
         }
     }
 }

@@ -32,6 +32,7 @@ pub mod msg;
 pub mod pace;
 pub mod recovery;
 pub mod route;
+pub mod session;
 pub mod wire;
 
 pub use checkpoint::{

@@ -47,11 +47,27 @@ use crate::msg::{JoinMsg, RecordMsg};
 /// negotiates whether checksums are on. The launcher still accepts
 /// [`MIN_PROTO_VERSION`] peers and simply leaves checksums off for that
 /// link, so a v2 node interoperates unchanged.
-pub const PROTO_VERSION: u16 = 3;
+///
+/// Version 4 adds [`Frame::Sack`]: a node reports the out-of-order frames
+/// it already holds, so the launcher retransmits only the holes. Every
+/// other frame keeps its exact bytes; a v2 or v3 node simply never sends
+/// a `Sack`, and the launcher repairs its link on the timer alone.
+pub const PROTO_VERSION: u16 = 4;
 
 /// Oldest peer protocol version the launcher still speaks (without
 /// frame checksums).
 pub const MIN_PROTO_VERSION: u16 = 2;
+
+/// Oldest protocol version whose links carry frame checksums.
+pub(crate) const CHECKSUM_PROTO_VERSION: u16 = 3;
+
+/// Oldest protocol version whose nodes send [`Frame::Sack`].
+pub(crate) const SACK_PROTO_VERSION: u16 = 4;
+
+/// Most `seq` ranges one [`Frame::Sack`] carries. A node holding more
+/// reports its lowest ranges: the holes below them are the ones blocking
+/// its acks.
+pub const MAX_SACK_RANGES: usize = 64;
 
 const TAG_HELLO: u8 = 0x01;
 const TAG_CONFIG: u8 = 0x02;
@@ -64,6 +80,7 @@ const TAG_DONE: u8 = 0x08;
 const TAG_RESTORE: u8 = 0x09;
 const TAG_HEARTBEAT: u8 = 0x0A;
 const TAG_HEALTH_ACK: u8 = 0x0B;
+const TAG_SACK: u8 = 0x0C;
 
 const MSG_PROBE: u8 = 0;
 const MSG_INDEX: u8 = 1;
@@ -186,6 +203,15 @@ pub enum Frame {
         nonce: u64,
         /// The probe's `sent_at`, verbatim.
         sent_at: u64,
+    },
+    /// Node → launcher (protocol ≥ 4): the data frames this node holds
+    /// above its next expected `seq`, as ascending, disjoint, non-empty
+    /// half-open `seq` ranges — at most [`MAX_SACK_RANGES`] of them. The
+    /// launcher stops timing those frames out and retransmits only the
+    /// holes between them.
+    Sack {
+        /// Held `[start, end)` ranges, ascending and disjoint.
+        held: Vec<(u64, u64)>,
     },
 }
 
@@ -562,6 +588,16 @@ impl Frame {
                 put_u64(&mut out, *nonce);
                 put_u64(&mut out, *sent_at);
             }
+            Frame::Sack { held } => {
+                check_sack_ranges(held)?;
+                out.push(TAG_SACK);
+                // Checked above: the count fits one byte.
+                out.push(held.len() as u8);
+                for &(start, end) in held {
+                    put_u64(&mut out, start);
+                    put_u64(&mut out, end);
+                }
+            }
         }
         Ok(out)
     }
@@ -690,9 +726,39 @@ impl Frame {
                 nonce: get_u64(r)?,
                 sent_at: get_u64(r)?,
             }),
+            TAG_SACK => {
+                let count = usize::from(get_u8(r)?);
+                // Bounded before allocating: a hostile count can never
+                // reserve more than MAX_SACK_RANGES entries.
+                if count > MAX_SACK_RANGES {
+                    return Err(bad(format!("sack carries {count} ranges")));
+                }
+                let mut held = Vec::with_capacity(count);
+                for _ in 0..count {
+                    held.push((get_u64(r)?, get_u64(r)?));
+                }
+                check_sack_ranges(&held)?;
+                Ok(Frame::Sack { held })
+            }
             t => Err(bad(format!("unknown frame tag {t:#04x}"))),
         }
     }
+}
+
+/// The [`Frame::Sack`] body contract, enforced on both encode and
+/// decode: 1..=[`MAX_SACK_RANGES`] non-empty ranges, ascending and
+/// disjoint.
+fn check_sack_ranges(held: &[(u64, u64)]) -> io::Result<()> {
+    if held.is_empty() || held.len() > MAX_SACK_RANGES {
+        return Err(bad(format!("sack carries {} ranges", held.len())));
+    }
+    if let Some((start, end)) = held.iter().find(|(start, end)| start >= end) {
+        return Err(bad(format!("empty sack range {start}..{end}")));
+    }
+    if held.windows(2).any(|w| w[1].0 < w[0].1) {
+        return Err(bad("sack ranges unsorted or overlapping"));
+    }
+    Ok(())
 }
 
 fn put_data(out: &mut Vec<u8>, seq: u64, msg: &JoinMsg) -> io::Result<()> {
@@ -801,6 +867,9 @@ mod tests {
                 nonce: 17,
                 sent_at: 123_456,
             },
+            Frame::Sack {
+                held: vec![(3, 5), (5, 6), (9, 40)],
+            },
         ];
         for f in frames {
             let bytes = f.encode().unwrap();
@@ -882,5 +951,40 @@ mod tests {
         let mut padded = full;
         padded.push(0);
         assert!(Frame::decode(&padded).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn sack_codec_is_strict() {
+        let encodes = |held: Vec<(u64, u64)>| Frame::Sack { held }.encode();
+        let most: Vec<(u64, u64)> = (0..MAX_SACK_RANGES as u64)
+            .map(|i| (2 * i, 2 * i + 1))
+            .collect();
+        let bytes = encodes(most.clone()).unwrap();
+        assert_eq!(bytes.len(), 2 + 16 * MAX_SACK_RANGES);
+        assert!(matches!(Frame::decode(&bytes), Ok(Frame::Sack { held }) if held == most));
+
+        // Bodies the encoder refuses and the decoder rejects alike.
+        let bad_bodies: [Vec<(u64, u64)>; 5] = [
+            Vec::new(),            // no range
+            vec![(4, 4)],          // empty range
+            vec![(9, 12), (1, 3)], // unsorted
+            vec![(1, 5), (4, 8)],  // overlapping
+            (0..=MAX_SACK_RANGES as u64)
+                .map(|i| (2 * i, 2 * i + 1))
+                .collect(), // over the cap
+        ];
+        for held in bad_bodies {
+            assert!(encodes(held.clone()).is_err(), "encoded {held:?}");
+            let mut raw = vec![TAG_SACK, held.len() as u8];
+            for &(a, b) in &held {
+                put_u64(&mut raw, a);
+                put_u64(&mut raw, b);
+            }
+            let err = Frame::decode(&raw).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "decoded {held:?}");
+        }
+        // The count is checked before any range is read or allocated.
+        let err = Frame::decode(&[TAG_SACK, u8::MAX]).unwrap_err();
+        assert!(err.to_string().contains("255 ranges"), "{err}");
     }
 }

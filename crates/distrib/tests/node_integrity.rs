@@ -137,3 +137,73 @@ fn v2_node_runs_unsealed_and_still_rejects_garbage() {
         .expect_err("garbage must fail on v2 too");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
+
+/// Reads node frames until one matches `stop`; returns every `Sack`
+/// body seen before it.
+fn sacks_until(wire: &mut dyn Wire, stop: impl Fn(&Frame) -> bool) -> Vec<Vec<(u64, u64)>> {
+    let mut sacks = Vec::new();
+    loop {
+        match wire.recv_timeout(Duration::from_secs(5)).unwrap() {
+            WireEvent::Frame(b) => {
+                let frame = Frame::decode_checked(&b, true).unwrap();
+                if stop(&frame) {
+                    return sacks;
+                }
+                if let Frame::Sack { held } = frame {
+                    sacks.push(held);
+                }
+            }
+            other => panic!("the awaited frame never came: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_v4_node_reports_held_ranges_and_a_v3_node_never_does() {
+    for proto in [3u16, PROTO_VERSION] {
+        let (mut launcher, mut node_wire) = channel_wire_pair(64);
+        let node = std::thread::spawn(move || node_serve_at(&mut node_wire, 0, proto));
+        expect_hello(&mut launcher, proto);
+        let send = |launcher: &mut dyn Wire, f: Frame| {
+            launcher.send(&f.encode_sealed().unwrap()).unwrap();
+            launcher.flush().unwrap();
+        };
+        send(&mut launcher, config_frame(0));
+        send(&mut launcher, data_frame(0, 1));
+        // Seqs 1 and 4 go missing: 2, 3 and 5 wait above the gaps.
+        for seq in [2, 3, 5] {
+            send(&mut launcher, data_frame(seq, seq + 1));
+        }
+        if proto >= 4 {
+            // Reported once the node's queue runs dry, possibly after
+            // partial reports of the frames it had taken so far.
+            let full = vec![(2, 4), (5, 6)];
+            sacks_until(
+                &mut launcher,
+                |f| matches!(f, Frame::Sack { held } if *held == full),
+            );
+        } else {
+            // The echo proves the node took 2, 3 and 5; it drains and
+            // blocks right after, where a v4 node would report.
+            send(
+                &mut launcher,
+                Frame::Heartbeat {
+                    nonce: 1,
+                    sent_at: 0,
+                },
+            );
+            let sacks = sacks_until(&mut launcher, |f| matches!(f, Frame::HealthAck { .. }));
+            assert!(sacks.is_empty(), "a v3 node sent {sacks:?}");
+        }
+        // Filling the holes releases everything; a gap-free buffer has
+        // nothing left to report.
+        send(&mut launcher, data_frame(1, 2));
+        send(&mut launcher, data_frame(4, 5));
+        let late = sacks_until(&mut launcher, |f| matches!(f, Frame::Ack { seq: 5 }));
+        assert!(late.is_empty(), "v{proto} reported {late:?} after the fill");
+        send(&mut launcher, Frame::Eos);
+        sacks_until(&mut launcher, |f| matches!(f, Frame::Done(_)));
+        drop(launcher);
+        node.join().unwrap().expect("clean run");
+    }
+}

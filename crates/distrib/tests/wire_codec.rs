@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use ssj_core::join::bistream::Side;
 use ssj_core::MatchPair;
-use ssj_distrib::wire::Frame;
+use ssj_distrib::wire::{Frame, MAX_SACK_RANGES};
 use ssj_distrib::{JoinMsg, RecordMsg};
 use ssj_text::{Record, RecordId, TokenId};
 use std::io;
@@ -106,6 +106,49 @@ proptest! {
     ) {
         roundtrip(&Frame::Heartbeat { nonce, sent_at });
         roundtrip(&Frame::HealthAck { nonce, sent_at });
+    }
+
+    #[test]
+    fn sack_frames_roundtrip(
+        start in 0u64..u64::MAX / 2,
+        steps in proptest::collection::vec((1u64..1_000, 1u64..1_000), 1..=MAX_SACK_RANGES),
+    ) {
+        // Ascending, disjoint, non-empty ranges built from gap/length steps.
+        let mut held = Vec::new();
+        let mut at = start;
+        for (gap, len) in steps {
+            held.push((at + gap, at + gap + len));
+            at += gap + len;
+        }
+        roundtrip(&Frame::Sack { held });
+    }
+
+    #[test]
+    fn malformed_sacks_are_rejected(
+        ranges in proptest::collection::vec((0u64..64, 0u64..64), 0..=MAX_SACK_RANGES + 1),
+    ) {
+        // Arbitrary range lists, hand-encoded: the decoder must accept
+        // exactly the well-formed ones and never panic on the rest.
+        let well_formed = !ranges.is_empty()
+            && ranges.len() <= MAX_SACK_RANGES
+            && ranges.iter().all(|&(a, b)| a < b)
+            && ranges.windows(2).all(|w| w[0].1 <= w[1].0);
+        let mut bytes = vec![0x0C, ranges.len() as u8];
+        for &(a, b) in &ranges {
+            bytes.extend_from_slice(&a.to_le_bytes());
+            bytes.extend_from_slice(&b.to_le_bytes());
+        }
+        match Frame::decode(&bytes) {
+            Ok(Frame::Sack { held }) => {
+                prop_assert!(well_formed, "accepted {:?}", ranges);
+                prop_assert_eq!(held, ranges);
+            }
+            Ok(other) => prop_assert!(false, "decoded to {:?}", other),
+            Err(e) => {
+                prop_assert!(!well_formed, "rejected {:?}: {}", ranges, e);
+                prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            }
+        }
     }
 
     #[test]
@@ -295,8 +338,34 @@ fn every_frame_type(seed: u64) -> Vec<Frame> {
             nonce: seed,
             sent_at: seed.wrapping_mul(3),
         },
+        Frame::Sack {
+            held: vec![
+                (seed % 1000 + 1, seed % 1000 + 3),
+                (seed % 1000 + 7, seed % 1000 + 8),
+            ],
+        },
         Frame::Eos,
     ]
+}
+
+/// Protocol v4 added one frame and changed no other: every pre-v4 frame
+/// kind, over a spread of field values, encodes to the exact bytes the
+/// v3 codec produced (pinned as an FNV-1a digest taken from that codec).
+#[test]
+fn pre_v4_frames_keep_their_exact_bytes() {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for seed in [0u64, 1, 42, 1 << 40, u64::MAX] {
+        for frame in every_frame_type(seed) {
+            if matches!(frame, Frame::Sack { .. }) {
+                continue;
+            }
+            for b in frame.encode().unwrap() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    assert_eq!(h, 0x4a69_df82_82d8_7f22);
 }
 
 /// Exhaustive single-bit sweep over one fixed instance of every frame

@@ -263,11 +263,74 @@ pub fn assert_pairs_equal(seed: u64, got: &[MatchPair], expect: Vec<MatchPair>, 
     }
 }
 
+/// `(chaos seed, ack count)` kill points at which a [`sacked_kill_case`]
+/// run usually kills its victim while the victim holds SACKed frames
+/// (about half of all kill points on lossy seeds do; these did on an
+/// instrumented run). Timing decides the exact state, so the kill tests
+/// sweep many points rather than pin one.
+pub const SACKED_KILLS: [(u64, u64); 12] = [
+    (14, 30),
+    (15, 90),
+    (20, 30),
+    (20, 90),
+    (30, 60),
+    (30, 90),
+    (32, 30),
+    (32, 60),
+    (34, 90),
+    (35, 30),
+    (41, 30),
+    (41, 60),
+];
+
+/// The least per-wire drop rate of the selective-ack repair fixtures.
+const LOSSY_DROP_RATE: f64 = 0.1;
+
+/// The chaos + kill case of one [`SACKED_KILLS`] point: 600 records over
+/// k = 3 wires that each drop at least 10% of their frames, the victim
+/// killed after `at` acks.
+pub fn sacked_kill_case(seed: u64, at: u64) -> DifferentialCase {
+    assert_lossy(seed, 3);
+    DifferentialCase::new(
+        600,
+        3,
+        ssj_core::JoinConfig::jaccard(0.7).with_window(ssj_core::Window::Count(60)),
+        ssj_distrib::LocalAlgo::bundle(),
+        ssj_distrib::Strategy::LengthAuto {
+            method: ssj_distrib::PartitionMethod::LoadAware,
+            sample: 50,
+        },
+    )
+    .with_crash_at(at)
+    .with_chaos()
+}
+
+/// Asserts that chaos seed `seed` drops at least [`LOSSY_DROP_RATE`] of
+/// the frames on each of `k` wires (the cluster derives wire `t`'s fault
+/// mix from `seed + t`), so a repair test on it is not vacuous.
+fn assert_lossy(seed: u64, k: usize) {
+    for task in 0..k as u64 {
+        let drop = stormlite::LinkFault::seeded(seed.wrapping_add(task)).drop_rate;
+        assert!(
+            drop >= LOSSY_DROP_RATE,
+            "chaos seed {seed} wire {task} drops only {drop:.3}"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::with_deadline;
     use ssj_core::{JoinConfig, Window};
     use ssj_distrib::{LocalAlgo, PartitionMethod, Strategy};
+
+    /// Bound on each selective-ack repair test: the failure mode of a
+    /// frame that is neither resent nor timed out is a hang.
+    const SACK_DEADLINE: Duration = Duration::from_secs(120);
+
+    /// A chaos seed whose three wires drop 11–29% of their frames.
+    const LOSSY_SEED: u64 = 13;
 
     fn base_case() -> DifferentialCase {
         DifferentialCase::new(
@@ -310,15 +373,105 @@ mod tests {
         // Channel wires write every frame on its own.
         assert!(out.wire_frames > 0, "the launcher sent nothing");
         assert_eq!(out.wire_frames, out.wire_writes);
+        // A gap-free wire never carries a selective ack.
+        assert_eq!(out.sacks_received, 0);
+        assert_eq!(out.fast_retransmissions, 0);
+        assert!(text.contains("# TYPE dssj_cluster_repair_latency summary\n"));
         for (name, v) in [
             ("dssj_cluster_wire_frames_total", out.wire_frames),
             ("dssj_cluster_wire_writes_total", out.wire_writes),
+            ("dssj_cluster_fast_retransmissions_total", 0),
+            ("dssj_cluster_sacks_received_total", 0),
         ] {
             assert!(
                 text.contains(&format!("\n{name} {v}\n")),
                 "metrics export must carry {name} = {v}"
             );
         }
+        // Under chaos the repair counters move and are exported as such.
+        let chaos = run_cluster_differential(
+            LOSSY_SEED,
+            &base_case().with_chaos(),
+            ClusterBackend::InProcess,
+        )
+        .result;
+        assert!(chaos.sacks_received > 0 && chaos.fast_retransmissions > 0);
+        assert!(chaos.fast_retransmissions <= chaos.retransmissions);
+        assert!(!chaos.repair_latency.is_empty());
+        let text = obs::prometheus(&chaos.metrics_snapshot());
+        for (name, v) in [
+            ("dssj_cluster_retransmissions_total", chaos.retransmissions),
+            (
+                "dssj_cluster_fast_retransmissions_total",
+                chaos.fast_retransmissions,
+            ),
+            ("dssj_cluster_sacks_received_total", chaos.sacks_received),
+            (
+                "dssj_cluster_repair_latency_count",
+                chaos.repair_latency.count(),
+            ),
+        ] {
+            assert!(
+                text.contains(&format!("\n{name} {v}\n")),
+                "metrics export must carry {name} = {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn sack_kill_while_frames_are_held_is_exact() {
+        // A node killed under heavy loss dies holding frames above a gap;
+        // its successor holds nothing, so every SACKed mark must go, or a
+        // resent frame the chaos drops again is never repaired (a hang).
+        with_deadline(SACK_DEADLINE, || {
+            for (seed, at) in SACKED_KILLS {
+                let case = sacked_kill_case(seed, at);
+                let out = run_cluster_differential(seed, &case, ClusterBackend::InProcess);
+                assert!(
+                    out.result.sacks_received > 0,
+                    "seed {seed}: no selective ack"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn sack_interop_with_a_v3_node_under_chaos_is_exact_and_sackless() {
+        with_deadline(SACK_DEADLINE, || {
+            let seed = LOSSY_SEED;
+            let case = base_case().with_chaos();
+            let records = crate::differential_records(seed, case.records);
+            let mut cfg = cluster_config_for(seed, &case, ClusterBackend::InProcess);
+            cfg.node_proto = Some(3);
+            let out = run_cluster(&records, &cfg);
+            let expect = oracle::self_join_surviving(&records, &case.join, &[]);
+            assert_pairs_equal(seed, &out.pairs, expect, "v3-node cluster");
+            assert!(out.retransmissions > 0, "chaos never forced a repair");
+            assert_eq!(out.sacks_received, 0);
+            assert_eq!(out.fast_retransmissions, 0);
+            assert_eq!(out.health.corrupt_frames, 0);
+        });
+    }
+
+    #[test]
+    fn sack_repair_retransmits_at_most_once_per_record() {
+        // Structural efficiency gate, independent of wall-clock speed:
+        // whole-window timeout repair resent ~2.6 frames per record on
+        // this fixture, selective-ack repair ~0.5.
+        with_deadline(SACK_DEADLINE, || {
+            let seed = LOSSY_SEED;
+            assert_lossy(seed, 3);
+            let mut case = base_case().with_chaos();
+            case.records = 3_000;
+            let out = run_cluster_differential(seed, &case, ClusterBackend::InProcess).result;
+            assert!(
+                out.retransmissions <= case.records as u64,
+                "{} retransmissions for {} records",
+                out.retransmissions,
+                case.records
+            );
+            assert!(out.fast_retransmissions > 0, "no selective-ack repair");
+        });
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub mod transcript;
 
 pub use cluster::{
     assert_pairs_equal, cluster_config_for, run_cluster_differential,
-    run_cluster_differential_relaxed, run_cluster_restore_differential, ClusterDifferentialOutcome,
+    run_cluster_differential_relaxed, run_cluster_restore_differential, sacked_kill_case,
+    ClusterDifferentialOutcome, SACKED_KILLS,
 };
 pub use fault::{FaultHits, FaultStore, StoreFault};
 
