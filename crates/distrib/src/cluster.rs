@@ -649,7 +649,8 @@ pub fn run_cluster_bistream(
 /// Node-side inbound frame queue bound. The launcher's in-flight cap is
 /// the tight bound; this only absorbs retransmission/duplication slack
 /// before socket backpressure (a stalled reader, a closed TCP window)
-/// kicks in and feeds the launcher's shed watermark.
+/// kicks in. The launcher sees that backpressure as acks that stop
+/// coming: its shed watermark counts unacknowledged in-flight frames.
 const NODE_INBOUND_CAP: usize = 4096;
 
 /// Launcher-side inbound queue bound — effectively unbounded, because

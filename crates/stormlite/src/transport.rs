@@ -12,10 +12,9 @@
 //!   by a [`FrameBatcher`] so small tuples share syscalls, inbound frames
 //!   are parsed out of a buffered reader so one `read` drains a whole
 //!   burst, and they land in a *bounded* queue whose depth is visible
-//!   through [`Wire::queue_depth`] — the same signal the shed watermark
-//!   reads on in-process wires. When the queue is full the reader thread
-//!   stops draining the socket, the kernel receive window closes, and
-//!   backpressure propagates to the sender for real.
+//!   through [`Wire::queue_depth`]. When the queue is full the reader
+//!   thread stops draining the socket, the kernel receive window closes,
+//!   and backpressure propagates to the sender for real.
 //!
 //! Both backends speak frames (`Vec<u8>`); what the bytes mean is the
 //! caller's business (the distributed join layers its own message codec on
@@ -197,8 +196,12 @@ pub trait Wire: Send {
     /// Takes the next inbound frame if one is already queued.
     fn try_recv(&mut self) -> io::Result<WireEvent>;
 
-    /// Number of inbound frames queued but not yet received — the bounded
-    /// buffer depth the shed watermark reads.
+    /// Number of inbound frames queued but not yet received. A receive
+    /// loop reads it to choose between draining with
+    /// [`Wire::try_recv`] and flushing before a blocking
+    /// [`Wire::recv_timeout`] (the cluster node's serve loop does this).
+    /// The cluster launcher's shed watermark does not read it: that
+    /// watermark counts each link's unacknowledged in-flight frames.
     fn queue_depth(&self) -> usize;
 
     /// `(frames sent, write batches)` on the outbound side so far. The
@@ -289,9 +292,9 @@ impl Wire for ChannelWire {
 /// frames it holds — into a bounded channel. When that channel fills, the
 /// reader blocks, stops draining the socket, and the kernel's receive
 /// window closes — so the bounded in-memory queue *is* the bounded socket
-/// buffer, and its depth ([`Wire::queue_depth`]) feeds the same shed
-/// watermark as the in-process backend. Outbound frames go through a
-/// [`FrameBatcher`].
+/// buffer, and a slow consumer stalls the sender instead of growing
+/// memory. Its depth is [`Wire::queue_depth`], as on the in-process
+/// backend. Outbound frames go through a [`FrameBatcher`].
 ///
 /// Dropping a `TcpWire` shuts the socket down in both directions, which
 /// unblocks and terminates the reader thread.
@@ -806,6 +809,92 @@ mod tests {
         assert!(flushes < frames, "batching should coalesce frames");
         drop(client);
         server.join().unwrap();
+    }
+
+    /// Runs `body` on its own thread; panics with `name` if it has not
+    /// finished within `secs` seconds, so a lost wakeup is a named failure
+    /// instead of a hung test binary. (`testkit::with_deadline` is out of
+    /// reach: `testkit` depends on this crate.)
+    fn with_deadline<F: FnOnce() + Send + 'static>(name: &str, secs: u64, body: F) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(secs)) {
+            Ok(()) => handle.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                if let Err(e) = handle.join() {
+                    std::panic::resume_unwind(e);
+                }
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{name}: deadline of {secs} s passed")
+            }
+        }
+    }
+
+    /// A node-style receive step, the shape of the cluster node's serve
+    /// loop: drain with `try_recv` until the queue reads `Idle`, then
+    /// flush and block in `recv_timeout`.
+    fn node_recv(wire: &mut impl Wire) -> WireEvent {
+        match wire.try_recv().unwrap() {
+            WireEvent::Idle => {
+                wire.flush().unwrap();
+                wire.recv_timeout(Duration::from_secs(10)).unwrap()
+            }
+            event => event,
+        }
+    }
+
+    /// Request/reply in lock step: `client` sends frame `i`, then waits in
+    /// the node loop for the echo before sending `i + 1`; `server` echoes
+    /// every frame back until the client hangs up. Each frame lands on a
+    /// peer that is parked waiting for it — the case a lost wakeup breaks.
+    fn lock_step_ping_pong<W: Wire + 'static>(mut client: W, mut server: W, frames: u32) {
+        let echo = std::thread::spawn(move || loop {
+            match node_recv(&mut server) {
+                WireEvent::Frame(f) => server.send(&f).unwrap(),
+                WireEvent::Idle => panic!("server: no frame within 10 s"),
+                WireEvent::Closed(_) => return,
+            }
+        });
+        for i in 0..frames {
+            client.send(&i.to_le_bytes()).unwrap();
+            match node_recv(&mut client) {
+                WireEvent::Frame(f) => assert_eq!(f, i.to_le_bytes(), "echo of frame {i}"),
+                other => panic!("client: expected echo of frame {i}, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            client.try_recv().unwrap(),
+            WireEvent::Idle,
+            "no extra echoes"
+        );
+        drop(client);
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn lock_step_ping_pong_over_channel_wires_is_exact() {
+        with_deadline("channel ping-pong", 60, || {
+            let (client, server) = channel_wire_pair(64);
+            lock_step_ping_pong(client, server, 20_000);
+        });
+    }
+
+    #[test]
+    fn lock_step_ping_pong_over_tcp_loopback_is_exact() {
+        with_deadline("tcp ping-pong", 120, || {
+            let listener = listen_loopback().unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            lock_step_ping_pong(
+                TcpWire::new(client, 64).unwrap(),
+                TcpWire::new(server, 64).unwrap(),
+                20_000,
+            );
+        });
     }
 
     /// A raw client socket and the [`TcpWire`] on the accepting end, so a
